@@ -21,9 +21,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import Jet3
 from .errors import ImplabError
-from .family import GermFamily, epsilon_sequence, fixed_points, validate_family
+from .family import (
+    GermFamily,
+    epsilon_sequence,
+    fixed_points,
+    jet_from_triples,
+    validate_family,
+)
 from .fatou import FatouEngine
 from .implosion import convergence_error, orbit_trace
 from .io_artifacts import write_csv, write_ppm
@@ -49,13 +54,6 @@ def _cnum(v) -> complex:
     if isinstance(v, dict) and set(v) <= {"re", "im"}:
         return complex(v.get("re", 0.0), v.get("im", 0.0))
     raise ConfigError(f"cannot parse complex number from {v!r}")
-
-
-def _jet_from_triples(triples, order) -> Jet3:
-    co = {}
-    for t in triples:
-        co[(t["i"], t["j"], t["k"])] = complex(t["re"], t["im"])
-    return Jet3(co, order)
 
 
 def _load_family(cfg) -> GermFamily:
@@ -284,8 +282,8 @@ def _cmd_curve(cfg, out, threads):
         raise ConfigError("curve needs a 'germ' block with f1/f2 triples")
     order = int(germ.get("order", 8))
     f = GermJet(
-        _jet_from_triples(germ["f1"], order),
-        _jet_from_triples(germ["f2"], order),
+        jet_from_triples(germ["f1"], order),
+        jet_from_triples(germ["f2"], order),
     )
     curve_order = int(cfg.get("curve_order", order - 1))
     eta = complex(f.f2.coeff(1, 1, 0))

@@ -38,7 +38,16 @@ __all__ = [
     "estimate_q_beta",
     "epsilon_sequence",
     "normalize_p",
+    "jet_from_triples",
 ]
+
+
+def jet_from_triples(triples, order: int) -> Jet3:
+    """Jet3 from serialized ``{"i", "j", "k", "re", "im"}`` coefficient triples."""
+    co = {}
+    for t in triples:
+        co[(t["i"], t["j"], t["k"])] = complex(t["re"], t["im"])
+    return Jet3(co, order)
 
 
 def _mono_eval(monomials, x, y, e):
@@ -137,13 +146,9 @@ class GermFamily:
             for t in data.get(key, ()):
                 order = max(order, t["i"] + t["j"] + t["k"])
 
-        def jet(key):
-            co = {}
-            for t in data.get(key, ()):
-                co[(t["i"], t["j"], t["k"])] = complex(t["re"], t["im"])
-            return Jet3(co, order)
-
-        a, b, c, d = jet("a"), jet("b"), jet("c"), jet("d")
+        a, b, c, d = (
+            jet_from_triples(data.get(key, ()), order) for key in ("a", "b", "c", "d")
+        )
         # eta/q keys are declarative; insert into c when missing, verify else
         if (1, 0, 0) not in c.coeffs and eta != 0:
             c = c + Jet3({(1, 0, 0): eta}, order)

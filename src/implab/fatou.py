@@ -13,6 +13,14 @@ the working chart loses ~n^2 ulps over n steps, which caps the achievable
 Abel residual far above the target tolerances.  Limits are extracted by a
 least-squares fit of ladder samples against the coordinate's tail basis
 (see extrapolate.asymptotic_fit).
+
+The outgoing parametrization Psi_out is built forward-only, as the
+classical limit Psi_out(X, Y) = lim_m g_0^m(seed(X - m, Y)) of the
+asymptotic inverse seed pushed forward m steps, fitted over the same
+ladder of rungs m.  That estimate is good to ~1e-9; a Newton polish in
+coordinate space against the outgoing ladder limit, with the Jacobian of
+the forward estimate, finishes it at 1e-12 (1 + |X|).  A psi_o_batch call
+costs one stacked forward loop and typically 2 outgoing ladder limits.
 """
 
 from __future__ import annotations
@@ -33,6 +41,12 @@ from .extrapolate import asymptotic_fit, default_rungs
 from .family import GermFamily, jacobian
 
 __all__ = ["PetalSpec", "petal_contains", "FatouEngine", "Inside", "Escaped", "Unknown"]
+
+_MAX_NEWTON = 50
+# forward-difference step for DPsi: the forward estimate's error is smooth
+# in (X, Y), so its difference quotient is a good Jacobian although the
+# estimate itself is only a seed
+_JACOBIAN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -158,6 +172,12 @@ class FatouEngine:
         d = self._ev(self._d0, x, 0.0)
         return x + x * x * a + y * b, y + y * c + d
 
+    def _delta(self, x, y, x1):
+        """Chart remainder of the g0 step (x, y) -> (x1, .): with X = -1/x,
+        X1 = X + 1 + delta, from the cancellation-free numerator."""
+        num = x * x * self._ev_na(x) + y * self._ev(self._b0, x, y) * (1 - x)
+        return num / (x * x1)
+
     def _g0_inverse(self, x, y):
         """Newton solve of g0(z, w) = (x, y), seeded at the image point."""
         z = np.array(x, dtype=complex, copy=True)
@@ -248,13 +268,11 @@ class FatouEngine:
         for n in range(1, self.rungs[-1] + 1):
             if incoming:
                 x1, y1 = self._g0(x, y)
-                num = x * x * self._ev_na(x) + y * self._ev(self._b0, x, y) * (1 - x)
-                delta = num / (x * x1)
+                delta = self._delta(x, y, x1)
                 y = y1
             else:
                 z, w = self._g0_inverse(x, y)
-                num = z * z * self._ev_na(z) + w * self._ev(self._b0, z, w) * (1 - z)
-                delta = num / (z * x)
+                delta = self._delta(z, w, x)
                 y = w
             t_ = S + (delta - comp)
             comp = (t_ - S) - (delta - comp)
@@ -264,7 +282,9 @@ class FatouEngine:
             if n == self.rungs[k]:
                 logX = np.log(X)
                 Xs.append(X.copy())
-                ws.append(X - oma * logX - n)
+                # X - n formed as X0 + S: X itself carries ulp(n) ~ 1e-12
+                # at the top rung, which the fit amplifies into the limit
+                ws.append((X0 + S) - oma * logX)
                 yy = y if incoming else -y
                 ts.append(yy * np.exp(self.eta * logX))
                 k += 1
@@ -344,8 +364,59 @@ class FatouEngine:
         return complex(W[0]), complex(T[0])
 
     # -- inversion and the entire extension -------------------------------
-    def psi_o_batch(self, X, Y, max_newton: int = 50):
+    def _psi_o_forward(self, Xd, Y):
+        """Forward estimate Psi_out(Xd, Y) ~ lim_m g0^m(seed(Xd - m, Y)).
+
+        The seed is the asymptotic inverse of the outgoing coordinate,
+        X = -1/x + (1-a) log x with y = Y x^eta.  Rung m starts at step
+        rungs[-1] - m, so every rung lands after one loop of rungs[-1]
+        steps; the landed points are fitted against the tail basis in the
+        abscissa Xd - m.  The result is good to ~1e-9, a Newton seed only.
+        """
+        m = np.array(self.rungs[::-1])  # descending: the longest rung starts first
+        Xm = Xd[None, :] - m[:, None]
+        oma = self.one_minus_a
+        x = -1.0 / Xm
+        for _ in range(40):
+            x = -1.0 / (Xm - oma * np.log(x))
+        y = Y * np.exp(self.eta * np.log(x))
+        # translation-reduced orbit X_n = X_0 + n + S_n in the chart x = -1/X
+        X0 = -1.0 / x
+        S = np.zeros_like(X0)
+        comp = np.zeros_like(X0)
+        steps = np.zeros(m.shape + (1,))
+        start = self.rungs[-1] - m
+        k = 0
+        for n in range(self.rungs[-1]):
+            while k < m.size and start[k] <= n:
+                k += 1
+            xa, ya = x[:k], y[:k]
+            x1, y1 = self._g0(xa, ya)
+            delta = self._delta(xa, ya, x1)
+            Sa, ca = S[:k], comp[:k]
+            t_ = Sa + (delta - ca)
+            comp[:k] = (t_ - Sa) - (delta - ca)
+            S[:k] = t_
+            steps[:k] += 1
+            x[:k] = -1.0 / (X0[:k] + steps[:k] + S[:k])
+            y[:k] = y1
+        px, _ = asymptotic_fit(Xm, x, self.nbasis)
+        py, _ = asymptotic_fit(Xm, y, self.nbasis)
+        return px, py
+
+    def psi_o_batch(self, X, Y):
         """Extended outgoing parametrization on arrays.
+
+        The target (X, Y) is first shifted down by an integer into the
+        outgoing petal image, (Xd, Y) = (X - nsh, Y).  There Psi_out is
+        estimated forward-only (``_psi_o_forward``), together with its
+        Jacobian DPsi from two more estimates at (Xd + h, Y) and
+        (Xd, Y + h), all in one stacked orbit loop.  A Newton polish in
+        coordinate space, (x, y) -= DPsi (Phi_out(x, y) - (Xd, Y)), then
+        meets the tolerance 1e-12 (1 + |Xd|).  Each Newton iteration costs
+        one outgoing ladder limit: typically 2 per call, one to measure the
+        estimate's residual and one to confirm the polished point.  Finally
+        the point is pushed forward nsh steps under the overflow guard.
 
         Returns (x, y, escape_index); escape_index[i] >= 0 flags a forward
         orbit that left the guard bound at that step (value is then the
@@ -356,16 +427,17 @@ class FatouEngine:
         shift = np.maximum(self.shift_depth, np.abs(X.imag) / 2.0 + 1.0)
         nsh = np.maximum(0, np.ceil(X.real + shift).astype(int))
         Xd = X - nsh
-        oma = self.one_minus_a
-        # asymptotic-inverse seed: X = -1/x + (1-a) log x
-        x = -1.0 / Xd
-        for _ in range(40):
-            x = -1.0 / (Xd - oma * np.log(x))
-        y = Y * np.exp(self.eta * np.log(x))
+        npt = Xd.size
+        h = _JACOBIAN_STEP
+        fx, fy = self._psi_o_forward(
+            np.concatenate([Xd, Xd + h, Xd]), np.concatenate([Y, Y, Y + h])
+        )
+        x, y = fx[:npt], fy[:npt]
+        xX, yX = (fx[npt:2 * npt] - x) / h, (fy[npt:2 * npt] - y) / h
+        xY, yY = (fx[2 * npt:] - x) / h, (fy[2 * npt:] - y) / h
         tol = 1e-12 * (1.0 + np.abs(Xd))
-        slope = None
         prev = np.inf
-        for it in range(max_newton):
+        for it in range(_MAX_NEWTON):
             w, t = self._limit(x, y, False)
             rx = w - Xd
             ry = t - Y
@@ -382,20 +454,11 @@ class FatouEngine:
                     last=None,
                 )
             prev = worst
-            if slope is None or it % 4 == 3:
-                h = 1e-6 * np.abs(x)
-                w2, _ = self._limit(x + h, y, False)
-                slope = (w2 - w) / h
-            x = x - rx / slope
-            tn = np.where(np.abs(t) > 0, t, 1.0)
-            y = np.where(
-                (np.abs(Y) > 0) & (np.abs(t) > 0),
-                y * (Y / tn),
-                Y * np.exp(self.eta * np.log(x)),
-            )
+            x = x - (xX * rx + xY * ry)
+            y = y - (yX * rx + yY * ry)
         else:
             raise NewtonDivergence(
-                f"psi_o inversion did not converge within {max_newton} steps",
+                f"psi_o inversion did not converge within {_MAX_NEWTON} steps",
                 seed=None,
                 last=None,
             )

@@ -5,7 +5,7 @@ import pytest
 
 from implab.errors import DomainEscape, NotInBasin
 from implab.family import evaluate
-from implab.fatou import Escaped, Inside, PetalSpec, Unknown, petal_contains
+from implab.fatou import Escaped, FatouEngine, Inside, PetalSpec, Unknown, petal_contains
 from implab.sampling import petal_samples
 
 
@@ -54,7 +54,6 @@ class TestIncoming:
 
     def test_tail_tolerance_is_enforced(self, fam):
         from implab.errors import TailNotConverged
-        from implab.fatou import FatouEngine
 
         strict = FatouEngine(fam, tail_tol=1e-18)
         with pytest.raises(TailNotConverged):
@@ -87,12 +86,30 @@ class TestOutgoing:
 
 class TestPsiO:
     def test_defining_relation(self, engine, fam):
+        # a deeper shift makes the X - 1 side a separate Newton solve; with
+        # the same engine both sides reduce to the same shifted target
+        deeper = FatouEngine(fam, shift_depth=13.0)
         for XY in [(-9.0 + 0.4j, 0.35 - 0.2j), (2.0 + 1j, 0.5j)]:
-            z1 = engine.psi_o_extended((XY[0] - 1.0, XY[1]))
+            z1 = deeper.psi_o_extended((XY[0] - 1.0, XY[1]))
             z2 = engine.psi_o_extended(XY)
             gz1 = evaluate(fam, 0.0, z1)
             assert abs(gz1[0] - z2[0]) <= 1e-9 * max(1, abs(z2[0]))
             assert abs(gz1[1] - z2[1]) <= 1e-9 * max(1, abs(z2[1]))
+
+    def test_at_most_three_outgoing_limits_per_call(self, engine, monkeypatch):
+        limit = FatouEngine._limit
+        outgoing = 0
+
+        def counted(self, x, y, incoming):
+            nonlocal outgoing
+            outgoing += not incoming
+            return limit(self, x, y, incoming)
+
+        monkeypatch.setattr(FatouEngine, "_limit", counted)
+        X = (-13.0 - 9.0 * (np.arange(50) + 0.5) / 50) + 1j * np.linspace(-3.5, 3.5, 50)
+        Y = 0.85 * np.exp(2j * np.pi * ((np.arange(50) * 0.381966) % 1.0))
+        engine.psi_o_batch(X, Y)
+        assert 1 <= outgoing <= 3
 
     def test_invariant_line_exact(self, engine):
         x, y = engine.psi_o_extended((-12.0, 0.0))
