@@ -41,7 +41,7 @@ from .family import (
     normalize_p,
     validate_family,
 )
-from .fatou import Escaped, FatouEngine, Inside, PetalSpec, Unknown, petal_contains
+from .fatou import FatouEngine, PetalSpec, petal_contains
 from .implosion import (
     ApproxCoords,
     EggbeaterRegion,

@@ -30,7 +30,7 @@ from .family import (
     validate_family,
 )
 from .fatou import FatouEngine
-from .implosion import convergence_error, orbit_trace
+from .implosion import convergence_error, orbit_trace, perturbed_orbit
 from .io_artifacts import write_csv, write_ppm
 from .lavaurs import LavaursMap, lavaurs_functional_check
 from .normal_form import CharacteristicDirection, GermJet, formal_invariant_curve
@@ -214,6 +214,11 @@ def _cmd_lavaurs(cfg, out, threads):
 
 
 def _cmd_implode(cfg, out, threads):
+    """Convergence ladder: E(n) = sup over the samples of the distance
+    between the long iterate g_{eps_n}^{n-N} and L_{sigma-N}, one row per
+    rung of ``n_ladder``, from one ``convergence_error`` call (the Lavaurs
+    target is evaluated once).  Escaped samples are dropped and counted;
+    a rung where every sample escaped has E = nan and exits 4."""
     fam = _load_family(cfg)
     _require_valid(fam)
     engine = FatouEngine(fam, C=float(cfg.get("C", 2.0)))
@@ -230,12 +235,12 @@ def _cmd_implode(cfg, out, threads):
         [(p[0].real, p[0].imag, p[1].real, p[1].imag) for p in K],
     )
     _log(f"wrote {spath}")
+    ns = [int(n) for n in ladder]
+    errs = convergence_error(fam, sigma, q, ns, K, N=N, engine=engine,
+                             skip_escaped=True)
     rows = []
-    for n in ladder:
-        err, nesc = convergence_error(
-            fam, sigma, q, int(n), K, N=N, engine=engine, skip_escaped=True
-        )
-        rows.append((int(n), err, nesc))
+    for n, (err, nesc) in zip(ns, errs):
+        rows.append((n, err, nesc))
         _log(f"implode n={n}: E={err:.6e} escaped={nesc}")
     path = os.path.join(out, "implode.csv")
     write_csv(path, ["n", "E", "escaped"], rows)
@@ -335,24 +340,13 @@ def _render_rows(engine, fam, mode, xs, ys_row, budget, sigma, q, n, N):
         return rgb, failed
     if mode == "convergence":
         if inside.any():
-            from .family import evaluate as fam_eval
-
             eps = epsilon_sequence(sigma, 0.0, n)
             L = LavaursMap(sigma - N, q, engine)
             Lx, Ly, escL = L.eval_batch(xs[inside], ys_row[inside])
-            ox = np.array(xs[inside], dtype=complex)
-            oy = np.array(ys_row[inside], dtype=complex)
-            live = np.ones(ox.shape, dtype=bool)
-            for _ in range(n - N):
-                nx, ny = fam_eval(fam, eps, (ox[live], oy[live]))
-                ox[live], oy[live] = nx, ny
-                big = np.zeros_like(live)
-                big[live] = (np.abs(nx) > engine.guard) | (np.abs(ny) > engine.guard)
-                live &= ~big
-                if not live.any():
-                    break
+            ox, oy, esc = perturbed_orbit(fam, eps, xs[inside], ys_row[inside],
+                                          n - N, engine.guard)
             err = np.maximum(np.abs(ox - Lx), np.abs(oy - Ly))
-            bad = (escL >= 0) | ~live
+            bad = (escL >= 0) | (esc >= 0)
             failed += int(bad.sum())
             # log10 error mapped to grayscale: -12 -> black, 2 -> white
             lg = np.clip((np.log10(np.maximum(err, 1e-300)) + 12.0) / 14.0, 0, 1)

@@ -28,6 +28,7 @@ __all__ = [
     "ExactComplex",
     "Jet1",
     "Jet3",
+    "eval_monomials",
     "jet_arith",
 ]
 
@@ -341,6 +342,21 @@ class Jet1:
 # three-variable jets
 
 
+def eval_monomials(monomials, x, y, e):
+    """Sum of c x^i y^j e^k over (i, j, k, c) tuples; broadcasts over arrays."""
+    acc = 0
+    for i, j, k, c in monomials:
+        term = c
+        if i:
+            term = term * x**i
+        if j:
+            term = term * y**j
+        if k:
+            term = term * e**k
+        acc = acc + term
+    return acc
+
+
 class Jet3:
     """Sparse truncated series in ``(x, y, e)`` with a total-degree cap.
 
@@ -476,17 +492,7 @@ class Jet3:
 
     def eval(self, x, y, e):
         """Numeric evaluation; broadcasts over numpy arrays."""
-        acc = 0
-        for i, j, k, c in self.monomials():
-            term = c
-            if i:
-                term = term * x**i
-            if j:
-                term = term * y**j
-            if k:
-                term = term * e**k
-            acc = acc + term
-        return acc
+        return eval_monomials(self.monomials(), x, y, e)
 
     def max_abs(self) -> float:
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Jet3
+from .core import Jet3, eval_monomials
 from .errors import ExtrapolationUnstable, NewtonDivergence
 from .extrapolate import neville
 
@@ -48,20 +48,6 @@ def jet_from_triples(triples, order: int) -> Jet3:
     for t in triples:
         co[(t["i"], t["j"], t["k"])] = complex(t["re"], t["im"])
     return Jet3(co, order)
-
-
-def _mono_eval(monomials, x, y, e):
-    acc = 0
-    for i, j, k, c in monomials:
-        term = c
-        if i:
-            term = term * x**i
-        if j:
-            term = term * y**j
-        if k:
-            term = term * e**k
-        acc = acc + term
-    return acc
 
 
 @dataclass
@@ -268,10 +254,10 @@ def validate_family(f: GermFamily) -> ValidationReport:
 def evaluate(f: GermFamily, eps, z):
     """One step of g_eps; broadcasts over numpy arrays in z = (x, y)."""
     x, y = z
-    A = _mono_eval(f._mons["a"], x, 0.0, eps)
-    B = _mono_eval(f._mons["b"], x, y, eps)
-    C = _mono_eval(f._mons["c"], x, y, eps)
-    D = _mono_eval(f._mons["d"], x, 0.0, eps)
+    A = eval_monomials(f._mons["a"], x, 0.0, eps)
+    B = eval_monomials(f._mons["b"], x, y, eps)
+    C = eval_monomials(f._mons["c"], x, y, eps)
+    D = eval_monomials(f._mons["d"], x, 0.0, eps)
     x1 = x + (x * x + eps * eps) * A + y * B
     y1 = y + y * C + D
     return x1, y1
@@ -280,15 +266,15 @@ def evaluate(f: GermFamily, eps, z):
 def jacobian(f: GermFamily, eps, z):
     """Analytic Jacobian of g_eps at z; entries broadcast like evaluate."""
     x, y = z
-    A = _mono_eval(f._mons["a"], x, 0.0, eps)
-    dA = _mono_eval(f._mons["da"], x, 0.0, eps)
-    B = _mono_eval(f._mons["b"], x, y, eps)
-    Bx = _mono_eval(f._mons["bx"], x, y, eps)
-    By = _mono_eval(f._mons["by"], x, y, eps)
-    C = _mono_eval(f._mons["c"], x, y, eps)
-    Cx = _mono_eval(f._mons["cx"], x, y, eps)
-    Cy = _mono_eval(f._mons["cy"], x, y, eps)
-    dD = _mono_eval(f._mons["dd"], x, 0.0, eps)
+    A = eval_monomials(f._mons["a"], x, 0.0, eps)
+    dA = eval_monomials(f._mons["da"], x, 0.0, eps)
+    B = eval_monomials(f._mons["b"], x, y, eps)
+    Bx = eval_monomials(f._mons["bx"], x, y, eps)
+    By = eval_monomials(f._mons["by"], x, y, eps)
+    C = eval_monomials(f._mons["c"], x, y, eps)
+    Cx = eval_monomials(f._mons["cx"], x, y, eps)
+    Cy = eval_monomials(f._mons["cy"], x, y, eps)
+    dD = eval_monomials(f._mons["dd"], x, 0.0, eps)
     j11 = 1 + 2 * x * A + (x * x + eps * eps) * dA + y * Bx
     j12 = B + y * By
     j21 = y * Cx + dD

@@ -30,6 +30,7 @@ from threading import Lock
 
 import numpy as np
 
+from .core import eval_monomials
 from .errors import (
     DomainEscape,
     InverseBranchLost,
@@ -40,7 +41,7 @@ from .errors import (
 from .extrapolate import asymptotic_fit, default_rungs
 from .family import GermFamily, jacobian
 
-__all__ = ["PetalSpec", "petal_contains", "FatouEngine", "Inside", "Escaped", "Unknown"]
+__all__ = ["PetalSpec", "petal_contains", "FatouEngine"]
 
 _MAX_NEWTON = 50
 # forward-difference step for DPsi: the forward estimate's error is smooth
@@ -75,22 +76,6 @@ def petal_contains(p: PetalSpec, eta: complex, z) -> bool:
     # the disk test forces Re w > 0, so the principal log is safe
     t = y * np.exp(-eta * np.log(complex(w)))
     return abs(t) < p.C
-
-
-@dataclass(frozen=True)
-class Inside:
-    entry_index: int
-    petal_level: float
-
-
-@dataclass(frozen=True)
-class Escaped:
-    index: int
-
-
-@dataclass(frozen=True)
-class Unknown:
-    budget: int
 
 
 class FatouEngine:
@@ -144,38 +129,21 @@ class FatouEngine:
                 red[i] = red.get(i, 0) + c
             red[i + 1] = red.get(i + 1, 0) - c
         red[0] = red.get(0, 0) + (na.get(0, 0) - 1.0)  # exactly 0 when a0(0) = 1
-        self._na = sorted((i, c) for i, c in red.items() if c != 0)
+        self._na = sorted((i, 0, 0, c) for i, c in red.items() if c != 0)
 
     # -- series helpers -------------------------------------------------
-    @staticmethod
-    def _ev(mons, x, y):
-        acc = 0
-        for i, j, _, c in mons:
-            t = c
-            if i:
-                t = t * x**i
-            if j:
-                t = t * y**j
-            acc = acc + t
-        return acc
-
-    def _ev_na(self, x):
-        acc = 0
-        for i, c in self._na:
-            acc = acc + c * x**i
-        return acc
-
     def _g0(self, x, y):
-        a = self._ev(self._a0, x, 0.0)
-        b = self._ev(self._b0, x, y)
-        c = self._ev(self._c0, x, y)
-        d = self._ev(self._d0, x, 0.0)
+        a = eval_monomials(self._a0, x, 0.0, 0.0)
+        b = eval_monomials(self._b0, x, y, 0.0)
+        c = eval_monomials(self._c0, x, y, 0.0)
+        d = eval_monomials(self._d0, x, 0.0, 0.0)
         return x + x * x * a + y * b, y + y * c + d
 
     def _delta(self, x, y, x1):
         """Chart remainder of the g0 step (x, y) -> (x1, .): with X = -1/x,
         X1 = X + 1 + delta, from the cancellation-free numerator."""
-        num = x * x * self._ev_na(x) + y * self._ev(self._b0, x, y) * (1 - x)
+        num = (x * x * eval_monomials(self._na, x, 0.0, 0.0)
+               + y * eval_monomials(self._b0, x, y, 0.0) * (1 - x))
         return num / (x * x1)
 
     def _g0_inverse(self, x, y):
@@ -489,21 +457,6 @@ class FatouEngine:
         return complex(ox[0]), complex(oy[0])
 
     # -- basin classification ---------------------------------------------
-    def basin_membership(self, z, budget: int | None = None):
-        """Inside(first-entry index, C) / Escaped(step) / Unknown(budget)."""
-        budget = self.basin_budget if budget is None else budget
-        spec = self.petal("incoming")
-        rdom = self.family.domain_radius
-        x, y = complex(z[0]), complex(z[1])
-        for n in range(budget + 1):
-            if petal_contains(spec, self.eta, (x, y)):
-                return Inside(n, spec.C)
-            if abs(x) > rdom or abs(y) > rdom:
-                return Escaped(n)
-            x, y = self._g0(x, y)
-            x, y = complex(x), complex(y)
-        return Unknown(budget)
-
     def classify_batch(self, x, y, budget: int = 400):
         """Vector basin classification for rendering.
 

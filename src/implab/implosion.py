@@ -41,6 +41,7 @@ __all__ = [
     "error_terms",
     "inverse_approx_fatou",
     "orbit_trace",
+    "perturbed_orbit",
     "convergence_error",
 ]
 
@@ -277,52 +278,76 @@ def orbit_trace(
 # the convergence harness
 
 
+def perturbed_orbit(f: GermFamily, eps, x, y, steps: int, guard: float):
+    """Push arrays of points ``steps`` steps under g_eps.
+
+    A point whose coordinates leave the guard bound stops there.  Returns
+    (x, y, escape_step): escape_step[i] is the step at which point i left
+    the bound (its value is then the first out-of-bound iterate), or -1.
+    """
+    ox = np.array(x, dtype=complex)
+    oy = np.array(y, dtype=complex)
+    live = np.ones(ox.shape, dtype=bool)
+    esc = np.full(ox.shape, -1)
+    for step in range(steps):
+        nx, ny = evaluate(f, eps, (ox[live], oy[live]))
+        ox[live], oy[live] = nx, ny
+        big = np.zeros_like(live)
+        big[live] = (np.abs(nx) > guard) | (np.abs(ny) > guard)
+        esc[big] = step + 1
+        live &= ~big
+        if not live.any():
+            break
+    return ox, oy, esc
+
+
 def convergence_error(
     f: GermFamily,
     sigma,
     q,
-    n: int,
+    ns,
     K,
     N: int = 0,
     engine: FatouEngine | None = None,
     skip_escaped: bool = False,
 ):
-    """sup over K of the distance between the long iterate and the limit map.
+    """sup over K of the distance between the long iterates and the limit map.
 
-    Per-point failures surface as DomainEscape unless ``skip_escaped`` is
-    set, in which case escaped points are dropped from the sup (and the
-    count of dropped points is reported in the exception-free return).
+    For each rung n of the ladder ``ns`` the long iterate g_{eps_n}^{n-N},
+    eps_n = pi/(n - sigma), is compared with the Lavaurs map L_{sigma-N}.
+    The target does not depend on n, so it is evaluated on K once and
+    each rung costs only its orbit pass.
 
-    Returns (sup, escaped_count).
+    A point escapes when the target's extension or the rung's orbit leaves
+    the guard bound.  Unless ``skip_escaped`` is set, the first rung with
+    an escaped point raises DomainEscape, indexed by the orbit's escape
+    step or else the target's escape index.  Otherwise escaped points are
+    dropped from that rung's sup, and the sup is nan when every point
+    escaped.
+
+    Returns one (sup, escaped_count) pair per rung, in the order of ``ns``.
     """
     if engine is None:
         engine = FatouEngine(f)
     pts = list(K)
     x = np.array([complex(p[0]) for p in pts])
     y = np.array([complex(p[1]) for p in pts])
-    eps = epsilon_sequence(sigma, 0.0, n)
+    rungs = [(n, epsilon_sequence(sigma, 0.0, n)) for n in ns]
     L = LavaursMap(complex(sigma) - N, complex(q), engine)
     Lx, Ly, escL = L.eval_batch(x, y)
 
-    ox, oy = x.copy(), y.copy()
-    live = np.ones(x.shape, dtype=bool)
-    esc_orbit = np.full(x.shape, -1)
-    for step in range(n - N):
-        nx, ny = evaluate(f, eps, (ox[live], oy[live]))
-        ox[live], oy[live] = nx, ny
-        big = np.zeros_like(live)
-        big[live] = (np.abs(nx) > engine.guard) | (np.abs(ny) > engine.guard)
-        esc_orbit[big & (esc_orbit < 0)] = step + 1
-        live = live & ~big
-        if not live.any():
-            break
-    escaped = (escL >= 0) | (esc_orbit >= 0)
-    if escaped.any() and not skip_escaped:
-        i = int(np.argmax(escaped))
-        idx = int(esc_orbit[i]) if esc_orbit[i] >= 0 else int(escL[i])
-        raise DomainEscape(idx, point=pts[i])
-    good = ~escaped
-    if not good.any():
-        return float("nan"), int(escaped.sum())
-    err = np.maximum(np.abs(ox - Lx), np.abs(oy - Ly))
-    return float(np.max(err[good])), int(escaped.sum())
+    out = []
+    for n, eps in rungs:
+        ox, oy, esc_orbit = perturbed_orbit(f, eps, x, y, n - N, engine.guard)
+        escaped = (escL >= 0) | (esc_orbit >= 0)
+        if escaped.any() and not skip_escaped:
+            i = int(np.argmax(escaped))
+            idx = int(esc_orbit[i]) if esc_orbit[i] >= 0 else int(escL[i])
+            raise DomainEscape(idx, point=pts[i])
+        good = ~escaped
+        if not good.any():
+            out.append((float("nan"), int(escaped.sum())))
+            continue
+        err = np.maximum(np.abs(ox - Lx), np.abs(oy - Ly))
+        out.append((float(np.max(err[good])), int(escaped.sum())))
+    return out

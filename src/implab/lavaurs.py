@@ -58,19 +58,28 @@ class FunctionalCheckReport:
 
 
 def lavaurs_functional_check(L: LavaursMap, sample) -> FunctionalCheckReport:
-    """Residuals of g o L = L o g and g o L_sigma = L_{sigma+1} on samples."""
+    """Residuals of g o L = L o g and g o L_sigma = L_{sigma+1} on samples.
+
+    g o L_sigma comes from L's engine; L_sigma o g and L_{sigma+1} come from
+    a second engine whose shift depth and prelude depth are one step
+    deeper, so each side is a separate solve and either residual can fail.
+    On one engine both right-hand sides reduce to the same shifted Psi_out
+    target, so the two residuals come out equal; both are kept.
+    """
     pts = list(sample)
     if not pts:
         return FunctionalCheckReport(0.0, 0.0, [])
-    f = L.engine.family
+    eng = L.engine
+    f = eng.family
+    other = FatouEngine(f, C=eng.C, shift_depth=eng.shift_depth + 1.0,
+                        min_depth=eng.min_depth + 1.0)
     x = np.array([complex(p[0]) for p in pts])
     y = np.array([complex(p[1]) for p in pts])
     Lx, Ly, e0 = L.eval_batch(x, y)
     gLx, gLy = evaluate(f, 0.0, (Lx, Ly))
     gx, gy = evaluate(f, 0.0, (x, y))
-    Lgx, Lgy, e1 = L.eval_batch(gx, gy)
-    Lnext = LavaursMap(L.sigma + 1.0, L.q, L.engine)
-    L1x, L1y, e2 = Lnext.eval_batch(x, y)
+    Lgx, Lgy, e1 = LavaursMap(L.sigma, L.q, other).eval_batch(gx, gy)
+    L1x, L1y, e2 = LavaursMap(L.sigma + 1.0, L.q, other).eval_batch(x, y)
     ok = (e0 < 0) & (e1 < 0) & (e2 < 0)
     commute = np.where(ok, np.maximum(np.abs(gLx - Lgx), np.abs(gLy - Lgy)), np.inf)
     shift = np.where(ok, np.maximum(np.abs(gLx - L1x), np.abs(gLy - L1y)), np.inf)

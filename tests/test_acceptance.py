@@ -121,18 +121,24 @@ def test_criterion_04_inversion(engine):
 
 
 def test_criterion_05_lavaurs_functional_equations(engine, fam):
+    # L o g and L_{sigma+1} come from an engine with deeper shift and prelude
+    # depths: on one engine they reduce to the same shifted Psi_out target
+    # as g o L, and the residual would vanish by construction
+    deeper = FatouEngine(fam, shift_depth=13.0, min_depth=9.0)
     xs = np.linspace(-0.49, -0.465, 50).astype(complex)
     ys = np.full(50, 1e-7, dtype=complex)
+    gx, gy = evaluate(fam, 0.0, (xs, ys))
     worst = 0.0
     for sigma, q in [(0.0, 0.0), (0.5, 0.3 + 0.1j)]:
-        L = LavaursMap(sigma, q, engine)
-        L1 = LavaursMap(sigma + 1.0, q, engine)
-        Lx, Ly, e0 = L.eval_batch(xs, ys)
+        Lx, Ly, e0 = LavaursMap(sigma, q, engine).eval_batch(xs, ys)
         gLx, gLy = evaluate(fam, 0.0, (Lx, Ly))
-        L1x, L1y, e1 = L1.eval_batch(xs, ys)
-        assert np.all(e0 < 0) and np.all(e1 < 0)
+        Lgx, Lgy, e1 = LavaursMap(sigma, q, deeper).eval_batch(gx, gy)
+        L1x, L1y, e2 = LavaursMap(sigma + 1.0, q, deeper).eval_batch(xs, ys)
+        assert np.all(e0 < 0) and np.all(e1 < 0) and np.all(e2 < 0)
         worst = max(
             worst,
+            float(np.max(np.abs(gLx - Lgx))),
+            float(np.max(np.abs(gLy - Lgy))),
             float(np.max(np.abs(gLx - L1x))),
             float(np.max(np.abs(gLy - L1y))),
         )
@@ -152,12 +158,9 @@ def test_criterion_06_one_d_oracle(engine):
 
 
 def _ladder(fam, q, K, engine):
-    out = {}
-    for n in (50, 100, 200, 800):
-        err, nesc = convergence_error(fam, 0.0, q, n, K, N=0, engine=engine,
-                                      skip_escaped=True)
-        out[n] = (err, nesc)
-    return out
+    ns = (50, 100, 200, 800)
+    return dict(zip(ns, convergence_error(fam, 0.0, q, ns, K, N=0, engine=engine,
+                                          skip_escaped=True)))
 
 
 def test_criterion_07_long_iterates_pinned_compact(engine):

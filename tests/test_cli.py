@@ -1,9 +1,11 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from implab import model_family
+from implab import LavaursMap, model_family
 from implab.cli import main
 from oned import basin_code
 
@@ -97,7 +99,16 @@ class TestSubcommands:
         assert zeta[6] == pytest.approx(0.5)
         assert all(zeta[k] == 0 for k in range(6))
 
-    def test_implode_ladder_decreases(self, tmp_path):
+    def test_implode_ladder_decreases(self, tmp_path, monkeypatch):
+        eval_batch = LavaursMap.eval_batch
+        calls = 0
+
+        def counted(self, x, y, budget=None):
+            nonlocal calls
+            calls += 1
+            return eval_batch(self, x, y, budget)
+
+        monkeypatch.setattr(LavaursMap, "eval_batch", counted)
         cfg = write_cfg(
             tmp_path / "m.json",
             samples={"kind": "segment", "a": -0.46, "b": -0.43, "count": 5, "y": 1e-7},
@@ -107,6 +118,8 @@ class TestSubcommands:
         _, rows = read_csv(tmp_path / "implode.csv")
         es = [float(r[1]) for r in rows]
         assert es[2] < es[1] < es[0]
+        # the Lavaurs target does not depend on the rung: one evaluation
+        assert calls == 1
 
     def test_trace_csv_schema(self, tmp_path):
         cfg = write_cfg(tmp_path / "m.json", n=200, x=-0.42, y=1e-8)
@@ -233,3 +246,14 @@ class TestRender:
         inside = pix[(pix[:, :, 0] == pix[:, :, 1]) & (pix[:, :, 1] == pix[:, :, 2])]
         assert inside.size > 0
         assert np.all(inside[:, 0] > 0) and np.all(inside[:, 0] < 255)
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # the benchmark's tracer wraps named entry points of implab and raises
+    # KeyError when one of them is missing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer().installed():
+        pass

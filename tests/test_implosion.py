@@ -210,19 +210,19 @@ class TestConvergenceError:
 
     def test_escape_reported_with_index(self, engine, fam):
         with pytest.raises(DomainEscape):
-            convergence_error(fam, 0.0, 0.0, 100, [(-0.05, 0.0)], N=0, engine=engine)
+            convergence_error(fam, 0.0, 0.0, [100], [(-0.05, 0.0)], N=0, engine=engine)
 
     def test_skip_escaped_counts(self, engine, fam):
         err, nesc = convergence_error(
-            fam, 0.0, 0.0, 100, [(-0.05, 0.0), (-0.42, 0.0)], N=0,
+            fam, 0.0, 0.0, [100], [(-0.05, 0.0), (-0.42, 0.0)], N=0,
             engine=engine, skip_escaped=True,
-        )
+        )[0]
         assert nesc == 1 and math.isfinite(err)
 
     def test_shift_consistency(self, engine, fam):
         # E with (N, sigma) matches E with (N+1, sigma) after one extra step
         K = [(-0.44, 1e-7), (-0.41, 1e-7)]
-        e0, _ = convergence_error(fam, 0.0, 0.0, 200, K, N=1, engine=engine)
+        e0, _ = convergence_error(fam, 0.0, 0.0, [200], K, N=1, engine=engine)[0]
         from implab.family import evaluate
         from implab.lavaurs import LavaursMap
 
