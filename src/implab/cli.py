@@ -6,7 +6,8 @@ Subcommands wrap the public operations: validate, fixed-points, fatou,
 lavaurs, implode, trace, curve, render.  Identical configs produce
 byte-identical artifacts; exit codes are 0 (ok), 2 (config error),
 3 (hypothesis violation), 4 (numerical non-convergence, diagnostics
-still written).
+still written).  ``--threads`` is accepted for compatibility and has no
+effect: every subcommand runs single-threaded on vectorized batches.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _log(msg: str):
 # subcommands
 
 
-def _cmd_validate(cfg, out, threads):
+def _cmd_validate(cfg, out):
     fam = _load_family(cfg)
     report = validate_family(fam)
     rows = [(c.name, "PASS" if c.passed else "FAIL", c.detail) for c in report]
@@ -121,7 +121,7 @@ class HypothesisViolation(Exception):
     pass
 
 
-def _cmd_fixed_points(cfg, out, threads):
+def _cmd_fixed_points(cfg, out):
     fam = _load_family(cfg)
     _require_valid(fam)
     eps_list = cfg.get("eps_grid") or [cfg.get("eps", 0.01)]
@@ -147,7 +147,7 @@ def _cmd_fixed_points(cfg, out, threads):
     return EXIT_OK
 
 
-def _cmd_fatou(cfg, out, threads):
+def _cmd_fatou(cfg, out):
     fam = _load_family(cfg)
     _require_valid(fam)
     engine = FatouEngine(fam, C=float(cfg.get("C", 2.0)))
@@ -180,7 +180,7 @@ def _cmd_fatou(cfg, out, threads):
     return EXIT_OK
 
 
-def _cmd_lavaurs(cfg, out, threads):
+def _cmd_lavaurs(cfg, out):
     fam = _load_family(cfg)
     _require_valid(fam)
     engine = FatouEngine(fam, C=float(cfg.get("C", 2.0)))
@@ -213,7 +213,7 @@ def _cmd_lavaurs(cfg, out, threads):
     return EXIT_OK
 
 
-def _cmd_implode(cfg, out, threads):
+def _cmd_implode(cfg, out):
     """Convergence ladder: E(n) = sup over the samples of the distance
     between the long iterate g_{eps_n}^{n-N} and L_{sigma-N}, one row per
     rung of ``n_ladder``, from one ``convergence_error`` call (the Lavaurs
@@ -250,7 +250,7 @@ def _cmd_implode(cfg, out, threads):
     return EXIT_OK
 
 
-def _cmd_trace(cfg, out, threads):
+def _cmd_trace(cfg, out):
     fam = _load_family(cfg)
     _require_valid(fam)
     engine = FatouEngine(fam, C=float(cfg.get("C", 2.0)))
@@ -281,7 +281,7 @@ def _cmd_trace(cfg, out, threads):
     return EXIT_OK
 
 
-def _cmd_curve(cfg, out, threads):
+def _cmd_curve(cfg, out):
     germ = cfg.get("germ")
     if germ is None:
         raise ConfigError("curve needs a 'germ' block with f1/f2 triples")
@@ -308,9 +308,18 @@ def _cmd_curve(cfg, out, threads):
 _BASIN_INSIDE = np.array([40, 90, 200], dtype=np.int32)
 _BASIN_ESCAPED = np.array([230, 70, 40], dtype=np.int32)
 _BASIN_UNKNOWN = np.array([128, 128, 128], dtype=np.int32)
+# pixels per render batch: caps the ladder's working arrays at those of
+# one 4096-pixel row, whatever the resolution; the image does not depend
+# on it
+_RENDER_TILE = 4096
 
 
 def _render_rows(engine, fam, mode, xs, ys_row, budget, sigma, q, n, N):
+    """Colour a batch of pixels at (xs, ys_row) in any order; returns the
+    (len(xs), 3) uint8 colours and the count of failed pixels.
+
+    Every step is per point, so the colours do not depend on how the
+    frame is cut into batches; a batch-wide raise ends the render."""
     code, index = engine.classify_batch(xs, ys_row, budget=budget)
     h = xs.shape[0]
     rgb = np.zeros((h, 3), dtype=np.uint8)
@@ -360,7 +369,14 @@ def _render_rows(engine, fam, mode, xs, ys_row, budget, sigma, q, n, N):
     raise ConfigError(f"unknown render mode {mode!r}")
 
 
-def _cmd_render(cfg, out, threads):
+def _cmd_render(cfg, out):
+    """Render the slice y = slice_y over the window to ``render.ppm``.
+
+    Pixels are taken in raster order (top-left origin, row-major) and
+    coloured in consecutive tiles of ``_RENDER_TILE`` pixels, one
+    ``_render_rows`` batch each; a tile's coordinates are formed from
+    the pixel index, so no frame-sized complex array is held.  Exits 4
+    when more than a fifth of the pixels fail."""
     fam = _load_family(cfg)
     _require_valid(fam)
     engine = FatouEngine(fam, C=float(cfg.get("C", 2.0)))
@@ -381,24 +397,16 @@ def _cmd_render(cfg, out, threads):
     N = int(cfg.get("N", 0))
     xs_grid = xmin + (np.arange(w) + 0.5) * (xmax - xmin) / w
     ys_grid = ymax - (np.arange(h) + 0.5) * (ymax - ymin) / h  # top-left origin
-
-    def do_row(r):
-        xs = xs_grid + 1j * ys_grid[r]
-        ys_row = np.full(w, complex(slice_y))
-        return _render_rows(engine, fam, mode, xs, ys_row, budget,
-                            sigma, q, n, N)
-
-    engine.petal("incoming")  # build the cache before going parallel
-    results = [None] * h
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for r, res_row in zip(range(h), ex.map(do_row, range(h))):
-                results[r] = res_row
-    else:
-        for r in range(h):
-            results[r] = do_row(r)
-    img = np.stack([rgb for rgb, _ in results])
-    nfail = sum(fl for _, fl in results)
+    img = np.empty((w * h, 3), dtype=np.uint8)
+    nfail = 0
+    for i in range(0, w * h, _RENDER_TILE):
+        k = np.arange(i, min(i + _RENDER_TILE, w * h))  # row-major pixel index
+        xs = xs_grid[k % w] + 1j * ys_grid[k // w]
+        ys = np.full(k.size, complex(slice_y))
+        img[k], failed = _render_rows(engine, fam, mode, xs, ys, budget,
+                                      sigma, q, n, N)
+        nfail += failed
+    img = img.reshape(h, w, 3)
     comments = [
         f"implab {__version__} render mode={mode}",
         f"window=[{xmin},{xmax}]x[{ymin},{ymax}] slice_y={slice_y}",
@@ -433,7 +441,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted so existing scripts keep working; no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -447,7 +456,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        return _COMMANDS[args.subcommand](cfg, args.out, max(1, args.threads))
+        return _COMMANDS[args.subcommand](cfg, args.out)
     except (ConfigError, KeyError, TypeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,7 +26,6 @@ costs one stacked forward loop and typically 2 outgoing ladder limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 
@@ -82,9 +81,11 @@ class FatouEngine:
     """Per-germ evaluator for the incoming/outgoing coordinates and psi_o.
 
     Evaluation is logically pure; the only mutable state is the lazily
-    selected petal cache, guarded by a lock so concurrent users never see
-    a half-built entry.  Batch methods take equal-length complex arrays
-    and are the fast path; scalar wrappers raise the documented errors.
+    selected petal cache, filled by one dict store after the spec is
+    built, so no caller sees a half-built entry (concurrent first callers
+    at worst build the same deterministic petal twice).  Batch methods
+    take equal-length complex arrays and are the fast path; scalar
+    wrappers raise the documented errors.
     """
 
     def __init__(
@@ -110,7 +111,6 @@ class FatouEngine:
         self.shift_depth = float(shift_depth)
         self.tail_tol = float(tail_tol)
         self._petals: dict[str, PetalSpec] = {}
-        self._lock = Lock()
         f = family
         self.eta = f.eta
         self.one_minus_a = 1.0 - f.a
@@ -175,12 +175,11 @@ class FatouEngine:
 
     # -- petals ----------------------------------------------------------
     def petal(self, orientation: str) -> PetalSpec:
-        with self._lock:
-            spec = self._petals.get(orientation)
-            if spec is None:
-                spec = self._choose_petal(orientation)
-                self._petals[orientation] = spec
-            return spec
+        spec = self._petals.get(orientation)
+        if spec is None:
+            spec = self._choose_petal(orientation)
+            self._petals[orientation] = spec
+        return spec
 
     def _choose_petal(self, orientation: str, check_steps: int = 4096) -> PetalSpec:
         """Halve r until boundary orbits stay one level up for check_steps.
@@ -231,7 +230,10 @@ class FatouEngine:
         x = x0.copy()
         y = y0.copy()
         oma = self.one_minus_a if incoming else -self.one_minus_a
-        Xs, ws, ts = [], [], []
+        shape = (len(self.rungs),) + X0.shape
+        Xs = np.empty(shape, dtype=complex)
+        ws = np.empty(shape, dtype=complex)
+        ts = np.empty(shape, dtype=complex)
         k = 0
         for n in range(1, self.rungs[-1] + 1):
             if incoming:
@@ -249,15 +251,15 @@ class FatouEngine:
             x = sgn / X
             if n == self.rungs[k]:
                 logX = np.log(X)
-                Xs.append(X.copy())
+                Xs[k] = X
                 # X - n formed as X0 + S: X itself carries ulp(n) ~ 1e-12
                 # at the top rung, which the fit amplifies into the limit
-                ws.append((X0 + S) - oma * logX)
+                ws[k] = (X0 + S) - oma * logX
                 yy = y if incoming else -y
-                ts.append(yy * np.exp(self.eta * logX))
+                ts[k] = yy * np.exp(self.eta * logX)
                 k += 1
-        W, wres = asymptotic_fit(np.array(Xs), np.array(ws), self.nbasis)
-        T, tres = asymptotic_fit(np.array(Xs), np.array(ts), self.nbasis)
+        W, wres = asymptotic_fit(Xs, ws, self.nbasis)
+        T, tres = asymptotic_fit(Xs, ts, self.nbasis)
         scale = 1.0 + np.abs(W)
         if np.any(wres > self.tail_tol * scale) or np.any(tres > self.tail_tol * scale):
             raise TailNotConverged(

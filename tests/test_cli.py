@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from implab import LavaursMap, model_family
+import implab.cli
+from implab import FatouEngine, LavaursMap, model_family
 from implab.cli import main
 from oned import basin_code
 
@@ -222,7 +223,33 @@ class TestRender:
                         window=[0.1, 0.1, 0, 1], resolution=[4, 4])
         assert main(["render", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
-    def test_fatou_phase_mode(self, tmp_path):
+    def test_tiles_do_not_change_output(self, tmp_path, monkeypatch):
+        # a tile of 7 pixels divides neither width, so tiles straddle rows
+        configs = [
+            dict(mode="basin", window=[-0.3, 0.1, -0.2, 0.2],
+                 resolution=[16, 16], slice_y=1e-6, budget=200),
+            dict(mode="fatou-phase", window=[-0.3, -0.1, -0.05, 0.05],
+                 resolution=[6, 6], slice_y=1e-7, budget=200),
+        ]
+        for i, extra in enumerate(configs):
+            cfg = write_cfg(tmp_path / f"m{i}.json", **extra)
+            a, b = tmp_path / f"a{i}", tmp_path / f"b{i}"
+            assert main(["render", "--config", str(cfg), "--out", str(a)]) == 0
+            with monkeypatch.context() as m:
+                m.setattr(implab.cli, "_RENDER_TILE", 7)
+                assert main(["render", "--config", str(cfg), "--out", str(b)]) == 0
+            assert (a / "render.ppm").read_bytes() == (b / "render.ppm").read_bytes()
+
+    def test_fatou_phase_mode(self, tmp_path, monkeypatch):
+        limit = FatouEngine._limit
+        incoming = 0
+
+        def counted(self, x, y, incoming_side):
+            nonlocal incoming
+            incoming += incoming_side
+            return limit(self, x, y, incoming_side)
+
+        monkeypatch.setattr(FatouEngine, "_limit", counted)
         cfg = write_cfg(
             tmp_path / "m.json",
             mode="fatou-phase", window=[-0.3, -0.1, -0.05, 0.05],
@@ -233,8 +260,19 @@ class TestRender:
         assert pix.shape == (6, 6, 3)
         # basin pixels carry a nontrivial phase pattern
         assert len({tuple(p) for p in pix.reshape(-1, 3)}) > 3
+        # the whole frame fits one tile: one incoming ladder limit
+        assert incoming == 1
 
-    def test_convergence_mode(self, tmp_path):
+    def test_convergence_mode(self, tmp_path, monkeypatch):
+        eval_batch = LavaursMap.eval_batch
+        calls = 0
+
+        def counted(self, x, y, budget=None):
+            nonlocal calls
+            calls += 1
+            return eval_batch(self, x, y, budget)
+
+        monkeypatch.setattr(LavaursMap, "eval_batch", counted)
         cfg = write_cfg(
             tmp_path / "m.json",
             mode="convergence", window=[-0.47, -0.40, -0.01, 0.01],
@@ -246,6 +284,8 @@ class TestRender:
         inside = pix[(pix[:, :, 0] == pix[:, :, 1]) & (pix[:, :, 1] == pix[:, :, 2])]
         assert inside.size > 0
         assert np.all(inside[:, 0] > 0) and np.all(inside[:, 0] < 255)
+        # one Lavaurs target for the whole frame, not one per row
+        assert calls == 1
 
 
 def test_benchmark_tracer_hooks_resolve():
