@@ -11,7 +11,7 @@ Build a family, make an engine, evaluate transit limits:
 
 __version__ = "0.1.0"
 
-from .core import ExactComplex, Jet1, Jet3, jet_arith, pow_eta, principal_log
+from .core import ExactComplex, Jet1, Jet3, pow_eta, principal_log
 from .errors import (
     BranchCutError,
     DegenerateSplitting,

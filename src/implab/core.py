@@ -29,7 +29,6 @@ __all__ = [
     "Jet1",
     "Jet3",
     "eval_monomials",
-    "jet_arith",
 ]
 
 
@@ -555,19 +554,3 @@ def jet3_div_x2e2(j: Jet3):
                 rcoeffs[(i, jj, k)] = c
     return Jet3(qcoeffs, n), Jet3(rcoeffs, n)
 
-
-# ---------------------------------------------------------------------------
-# operation dispatcher (library surface for generic jet algebra)
-
-
-def jet_arith(op: str, a, b=None):
-    """Dispatch ``mul | compose | truncate | invert_linear`` on jets."""
-    if op == "mul":
-        return a * b
-    if op == "compose":
-        return a.compose(b)
-    if op == "truncate":
-        return a.truncate(b)
-    if op == "invert_linear":
-        return a.invert_linear()
-    raise ValueError(f"unknown jet operation {op!r}")

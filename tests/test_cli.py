@@ -243,13 +243,25 @@ class TestRender:
     def test_fatou_phase_mode(self, tmp_path, monkeypatch):
         limit = FatouEngine._limit
         incoming = 0
+        outgoing_side = []
 
         def counted(self, x, y, incoming_side):
             nonlocal incoming
             incoming += incoming_side
             return limit(self, x, y, incoming_side)
 
+        def recorded(name):
+            method = getattr(FatouEngine, name)
+
+            def call(self, *args):
+                outgoing_side.append(name)
+                return method(self, *args)
+
+            return call
+
         monkeypatch.setattr(FatouEngine, "_limit", counted)
+        for name in ("_g0_inverse", "_inverse_jet"):
+            monkeypatch.setattr(FatouEngine, name, recorded(name))
         cfg = write_cfg(
             tmp_path / "m.json",
             mode="fatou-phase", window=[-0.3, -0.1, -0.05, 0.05],
@@ -262,6 +274,8 @@ class TestRender:
         assert len({tuple(p) for p in pix.reshape(-1, 3)}) > 3
         # the whole frame fits one tile: one incoming ladder limit
         assert incoming == 1
+        # incoming-only work neither inverts the germ nor builds its jet
+        assert outgoing_side == []
 
     def test_convergence_mode(self, tmp_path, monkeypatch):
         eval_batch = LavaursMap.eval_batch

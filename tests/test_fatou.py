@@ -3,10 +3,25 @@ import math
 import numpy as np
 import pytest
 
+import implab.fatou
+from implab import model_family
+from implab.core import Jet3
 from implab.errors import DomainEscape, NotInBasin
-from implab.family import evaluate
+from implab.family import GermFamily, evaluate, jacobian
 from implab.fatou import FatouEngine, PetalSpec, petal_contains
 from implab.sampling import petal_samples
+
+
+def _skew_family(q=0.3 + 0.1j):
+    # a = 1, b = 0.5 x, c = (3.3+0.7i) x + q e, d = 0: y feeds back into x
+    # and eta is not an integer
+    order = 7
+    return GermFamily(
+        Jet3({(0, 0, 0): 1.0}, order),
+        Jet3({(1, 0, 0): 0.5}, order),
+        Jet3({(1, 0, 0): 3.3 + 0.7j, (0, 0, 1): q}, order),
+        Jet3({}, order),
+    )
 
 
 class TestPetalContains:
@@ -84,6 +99,47 @@ class TestOutgoing:
         assert np.max(np.abs(T1 - T0)) <= 1e-8
 
 
+def _newton_from_image(fam, x, y):
+    """Reference inverse of g0: Newton seeded at the image point."""
+    z, w = x, y
+    for _ in range(60):
+        gz, gw = evaluate(fam, 0.0, (z, w))
+        j11, j12, j21, j22 = jacobian(fam, 0.0, (z, w))
+        det = j11 * j22 - j12 * j21
+        rx, ry = gz - x, gw - y
+        z, w = z - (rx * j22 - j12 * ry) / det, w - (j11 * ry - rx * j21) / det
+    return z, w
+
+
+class TestInverseGerm:
+    @pytest.mark.parametrize("make", [model_family, _skew_family])
+    def test_jet_seed_keeps_the_branch(self, make):
+        fam = make()
+        eng = FatouEngine(fam)
+        k = np.arange(40)
+        # |x| from 1e-5 to 0.45 across the gate |x| <= 1/min_depth, in the
+        # outgoing direction, with y on the C-band y = t x^eta, |t| < C
+        x = np.geomspace(1e-5, 0.45, 40) * np.exp(1j * (((k * 0.618034) % 1.0) - 0.5))
+        t = eng.C * (0.1 + 0.85 * ((k * 0.381966) % 1.0)) * np.exp(2j * np.pi * k / 7)
+        y = t * np.exp(fam.eta * np.log(x))
+        gate = np.abs(x) <= 1.0 / eng.min_depth
+        assert gate.any() and not gate.all()
+        for xi, yi in zip(x, y):
+            # one point per call: a batch iterates Newton until its worst
+            # point converges, which would hide a seed that stops early
+            z, w = eng._g0_inverse(np.array([xi]), np.array([yi]))
+            gz, gw = eng._g0(z, w)
+            assert abs(gz[0] - xi) <= 1e-15 * (1.0 + abs(z[0]))
+            assert abs(gw[0] - yi) <= 1e-15 * (abs(w[0]) + abs(gw[0]) + 1e-280)
+            zr, wr = _newton_from_image(fam, xi, yi)
+            assert abs(z[0] - zr) <= 1e-14 * abs(zr)
+            assert abs(w[0] - wr) <= 1e-14 * abs(wr)
+
+    @pytest.mark.parametrize("make", [model_family, _skew_family])
+    def test_outgoing_petal_radius_unchanged(self, make):
+        assert FatouEngine(make()).petal("outgoing").r == 0.03125
+
+
 class TestPsiO:
     def test_defining_relation(self, engine, fam):
         # a deeper shift makes the X - 1 side a separate Newton solve; with
@@ -110,6 +166,30 @@ class TestPsiO:
         Y = 0.85 * np.exp(2j * np.pi * ((np.arange(50) * 0.381966) % 1.0))
         engine.psi_o_batch(X, Y)
         assert 1 <= outgoing <= 3
+
+    def test_outgoing_ladder_steps_rarely_need_a_jacobian(self, engine, monkeypatch):
+        limit = FatouEngine._limit
+        outgoing = jacobians = 0
+
+        def counted_limit(self, x, y, incoming):
+            nonlocal outgoing
+            outgoing += not incoming
+            return limit(self, x, y, incoming)
+
+        def counted_jacobian(*args):
+            nonlocal jacobians
+            jacobians += 1
+            return jacobian(*args)
+
+        monkeypatch.setattr(FatouEngine, "_limit", counted_limit)
+        monkeypatch.setattr(implab.fatou, "jacobian", counted_jacobian)
+        X = (-13.0 - 9.0 * (np.arange(50) + 0.5) / 50) + 1j * np.linspace(-3.5, 3.5, 50)
+        Y = 0.85 * np.exp(2j * np.pi * ((np.arange(50) * 0.381966) % 1.0))
+        engine.psi_o_batch(X, Y)
+        # the jet seed passes the residual check without a Newton update on
+        # all but the first few dozen of each ladder's 8192 steps
+        assert outgoing >= 1
+        assert jacobians <= outgoing * engine.rungs[-1] / 100
 
     def test_invariant_line_exact(self, engine):
         x, y = engine.psi_o_extended((-12.0, 0.0))
